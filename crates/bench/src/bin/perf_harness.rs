@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use libra_bench::{
-    default_registry, sweep_workloads_with_link, CrossValidation3, EventSimBackend, LinkParams,
-    NetSimBackend, Session,
+    default_registry, sweep_workloads_with_link, EventSimBackend, LinkParams, NetSimBackend,
+    Session,
 };
 use libra_core::cost::CostModel;
 use libra_core::dispatch::Dispatcher;
@@ -275,7 +275,7 @@ struct SweepStats {
 }
 
 /// The headline scenario: a cold three-way cross-validated sweep
-/// (`run_cross_validated3`), before (cold solver + trace-path backends) vs
+/// (`Session::run` with three backends), before (cold solver + trace-path backends) vs
 /// after (warm-started solver + scratch-arena backends).
 fn sweep_crossval3_cold(small: bool) -> SweepStats {
     let grid = scenario_grid(small);
@@ -401,114 +401,6 @@ fn sweep_crossval3_warm(small: bool) -> (SweepStats, usize) {
         },
         checked,
     )
-}
-
-struct SessionStats {
-    points: usize,
-    legacy_secs: f64,
-    session_secs: f64,
-    ratio: f64,
-    bit_identical_points: usize,
-}
-
-/// The legacy fixed-arity entry point, quarantined so the deprecation
-/// allowance covers exactly this call: the harness *wants* the old path
-/// as its before-oracle.
-#[allow(deprecated)]
-fn legacy_crossval3<W: SweepWorkload>(
-    engine: &SweepEngine<'_>,
-    grid: &SweepGrid,
-    wls: &[W],
-    cv: &CrossValidation3<'_>,
-) -> libra_bench::CrossValidated3Report {
-    engine.run_cross_validated3(grid, wls, cv)
-}
-
-/// The same warm three-way cross-validation driven once through the
-/// deprecated `run_cross_validated3` API and once through the `Session`
-/// front door. The redesign's contract is that the old entry points are
-/// thin shims over the session, so this scenario must show (a) per-point
-/// **bit-identity** between the two and (b) a wall-clock ratio within 5%
-/// (measured interleaved, best-of-rounds, to cancel machine noise).
-fn session_crossval3(small: bool) -> SessionStats {
-    let grid = scenario_grid(small);
-    let wls = workloads(small);
-    let cm = CostModel::default();
-    let points = grid.len(wls.len());
-
-    let engine = SweepEngine::new(&cm);
-    let analytical = Analytical::new();
-    let event = EventSimBackend::new(64);
-    let net = NetSimBackend::new(64);
-    let backends: [&dyn EvalBackend; 3] = [&analytical, &event, &net];
-    let cv = CrossValidation3::new(&analytical, &event, &net);
-    let session = Session::over(&engine);
-    session.run(&grid, &wls, &backends); // warm design + plan caches
-
-    let legacy = legacy_crossval3(&engine, &grid, &wls, &cv);
-    let new = session.run(&grid, &wls, &backends);
-    assert_eq!(
-        legacy.sweep.results, new.sweep.results,
-        "DETERMINISM VIOLATION: session sweep results differ from the legacy API's"
-    );
-    let mut bit_identical_points = 0usize;
-    for (lp, np) in legacy
-        .divergence
-        .pairs
-        .iter()
-        .zip(&new.divergence.pairs)
-        .flat_map(|(l, n)| l.points.iter().zip(&n.points))
-    {
-        assert_eq!(
-            (lp.baseline_secs.to_bits(), lp.reference_secs.to_bits()),
-            (np.baseline_secs.to_bits(), np.reference_secs.to_bits()),
-            "DETERMINISM VIOLATION at {:?}: legacy API and session priced differently",
-            lp.point,
-        );
-        bit_identical_points += 1;
-    }
-
-    // Interleaved best-of-rounds timing: both sides execute the same
-    // engine code (the legacy call IS a session shim), so the ratio
-    // measures only shim overhead plus noise.
-    let reps = if small { 3 } else { 5 };
-    let rounds = 5;
-    let mut legacy_best = f64::INFINITY;
-    let mut session_best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(legacy_crossval3(&engine, &grid, &wls, &cv));
-        }
-        legacy_best = legacy_best.min(t0.elapsed().as_secs_f64() / reps as f64);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(session.run(&grid, &wls, &backends));
-        }
-        session_best = session_best.min(t0.elapsed().as_secs_f64() / reps as f64);
-    }
-    let ratio = session_best / legacy_best;
-    // The ±5% gate holds on the full grid, where per-run time is large
-    // enough to measure; CI runs `--small` (millisecond-scale runs on a
-    // noisy shared runner) and, per the workflow's contract, never fails
-    // on wall-clock — there the ratio is recorded but not asserted.
-    if small {
-        if ratio > 1.05 {
-            eprintln!("  note: small-grid ratio {ratio:.3} > 1.05 (not gated under --small)");
-        }
-    } else {
-        assert!(
-            ratio <= 1.05,
-            "PERF REGRESSION: session front door is {ratio:.3}x the legacy path (budget 1.05x)"
-        );
-    }
-    SessionStats {
-        points,
-        legacy_secs: legacy_best,
-        session_secs: session_best,
-        ratio,
-        bit_identical_points,
-    }
 }
 
 struct SolverStats {
@@ -1003,13 +895,6 @@ fn main() {
         warm.points, warm.legacy_secs, warm.optimized_secs, warm.speedup, bit_checked
     );
 
-    eprintln!("perf_harness: session_crossval3 scenario...");
-    let sess = session_crossval3(small);
-    eprintln!(
-        "  {} points: legacy API {:.3} s vs Session {:.3} s — ratio {:.3} ({} point-pairs bit-identical)",
-        sess.points, sess.legacy_secs, sess.session_secs, sess.ratio, sess.bit_identical_points
-    );
-
     eprintln!("perf_harness: solver warm-start scenario...");
     let solver = solver_warm_start_scenario(small);
     eprintln!(
@@ -1082,13 +967,6 @@ fn main() {
         json(&mut o, 6, "warm_seeded_solves", &s.warm_seeded_solves.to_string(), true);
         o.push_str("    },\n");
     }
-    o.push_str("    \"session_crossval3\": {\n");
-    json(&mut o, 6, "points", &sess.points.to_string(), false);
-    json(&mut o, 6, "legacy_api_secs", &f(sess.legacy_secs), false);
-    json(&mut o, 6, "session_secs", &f(sess.session_secs), false);
-    json(&mut o, 6, "session_over_legacy_ratio", &f(sess.ratio), false);
-    json(&mut o, 6, "bit_identical_point_pairs", &sess.bit_identical_points.to_string(), true);
-    o.push_str("    },\n");
     o.push_str("    \"solver_warm_start\": {\n");
     json(&mut o, 6, "solves", &solver.solves.to_string(), false);
     json(&mut o, 6, "cold_newton_iters", &solver.cold_newton_iters.to_string(), false);
@@ -1137,13 +1015,6 @@ fn main() {
     o.push_str("  \"determinism\": {\n");
     json(&mut o, 4, "engine_bit_identical_point_pairs", &bit_checked.to_string(), false);
     json(&mut o, 4, "chaos_poisoned_points", &chaos.poisoned.to_string(), false);
-    json(
-        &mut o,
-        4,
-        "session_vs_legacy_bit_identical_point_pairs",
-        &sess.bit_identical_points.to_string(),
-        false,
-    );
     json(&mut o, 4, "violations", "0", true);
     o.push_str("  }\n}\n");
 

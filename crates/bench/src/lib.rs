@@ -28,10 +28,7 @@ pub use libra_core::scenario::{
 pub use libra_core::search;
 pub use libra_core::search::{Cosearch, SearchConfig, SearchReport};
 pub use libra_core::sweep;
-pub use libra_core::sweep::{
-    CrossValidated3Report, CrossValidatedReport, CrossValidation, CrossValidation3,
-    Divergence3Report, DivergenceReport, ExecMode,
-};
+pub use libra_core::sweep::{DivergenceReport, ExecMode};
 pub use libra_net::{default_registry, NetSimBackend};
 pub use libra_sim::EventSimBackend;
 
@@ -129,7 +126,7 @@ pub fn cosearch_workloads(cs: &Cosearch) -> Result<Vec<sweep::FnWorkload>, Libra
 /// (no-overlap training loop, default comm model — the paper's setup).
 ///
 /// The workload carries its communication plan, so it is eligible for
-/// cross-validated sweeps ([`sweep::SweepEngine::run_cross_validated`])
+/// cross-validated sweeps ([`Session::run`] with two or more backends)
 /// out of the box.
 pub fn sweep_workload(model: PaperModel) -> sweep::FnWorkload {
     sweep::FnWorkload::new(model.name(), move |shape: &NetworkShape| {
@@ -150,8 +147,8 @@ pub fn sweep_workloads(models: &[PaperModel]) -> Vec<sweep::FnWorkload> {
 /// [`NetSpec`] derived from each candidate shape's per-dimension unit
 /// topologies with the given α-β link parameters — the input
 /// `libra_net::NetSimBackend` needs to price hop latency and switch
-/// traversal in a three-way cross-validated sweep
-/// ([`sweep::SweepEngine::run_cross_validated3`]).
+/// traversal in a three-way cross-validated sweep ([`Session::run`] with
+/// analytical, event-sim and net-sim backends).
 pub fn sweep_workload_with_link(model: PaperModel, link: LinkParams) -> sweep::FnWorkload {
     sweep::FnWorkload::new(model.name(), move |shape: &NetworkShape| {
         Ok(vec![(1.0, time_expr_for(model, shape)?)])

@@ -1,4 +1,4 @@
-//! Shard dispatcher: one [`Scenario`](crate::scenario::Scenario) sweep
+//! Shard dispatcher: one [`Scenario`] sweep
 //! split across many independent workers.
 //!
 //! The grid's deterministic enumeration (shape → workload → budget →
@@ -9,11 +9,11 @@
 //! `libra crossval --range a..b` child processes forked by the CLI's
 //! `dispatch --spawn`), and the shards' JSON-lines streams are merged
 //! back: concatenated, re-parsed with
-//! [`records_from_jsonl`](crate::scenario::records_from_jsonl),
+//! [`records_from_jsonl`],
 //! re-sorted by grid index, coverage-checked against the grid
 //! ([`verify_coverage`] — exactly `0..grid_len`, no gaps, no
 //! duplicates), and re-judged into a fresh
-//! [`DivergenceMatrix`](crate::scenario::DivergenceMatrix) at the
+//! [`DivergenceMatrix`] at the
 //! scenario's own tolerance.
 //!
 //! The headline contract, pinned by `prop_dispatch` and the CI golden

@@ -1,12 +1,9 @@
 //! Scenario-first front door: one declarative problem description, any
 //! number of evaluation backends, streaming result sinks.
 //!
-//! The sweep surface used to grow one entry point per backend count
-//! (`run`, `run_cross_validated`, `run_cross_validated3`, each with a
-//! `_serial` twin). This module replaces that accretion with a single
-//! scenario-shaped API, mirroring how the paper itself frames its
-//! experiments — one workload/topology grid priced by interchangeable
-//! models:
+//! This module is the only way to run a grid. Its API is scenario-shaped,
+//! mirroring how the paper itself frames its experiments — one
+//! workload/topology grid priced by interchangeable models:
 //!
 //! * [`Scenario`] (built by [`ScenarioBuilder`]) is the declarative
 //!   description: shapes × budgets × objectives, workload names, optional
@@ -22,8 +19,8 @@
 //! * [`Session`] executes: [`Session::run`] prices **any number** of
 //!   backends per grid point in one rayon fan-out and reports every
 //!   pairwise disagreement as a [`DivergenceMatrix`]. `N = 0` is a plain
-//!   sweep, `N = 2` is the old two-way cross-validation, `N = 3` the old
-//!   three-way — one code path for all of them.
+//!   sweep, `N = 2` a two-way cross-validation, `N = 3` a three-way one —
+//!   one code path for all of them.
 //! * [`ReportSink`] streams per-point [`RecordRow`]s out of the run
 //!   (console table, JSON-lines, in-memory collector) instead of forcing
 //!   callers to hold the whole report — the prerequisite for sharded
@@ -69,7 +66,7 @@ use crate::opt::Objective;
 use crate::search::{Cosearch, SearchConfig};
 use crate::store::Fingerprint;
 use crate::sweep::{
-    CrossValidation, DivergenceReport, ExecMode, SweepEngine, SweepError, SweepGrid, SweepReport,
+    max_or_nan, DivergenceReport, ExecMode, SweepEngine, SweepError, SweepGrid, SweepReport,
     SweepResult, SweepWorkload,
 };
 
@@ -467,10 +464,11 @@ impl Scenario {
     /// scenario may declare (2²² ≈ 4.2M points). Every grid point costs
     /// a solver run plus a report record, so anything past this bound is
     /// a mis-written scenario (or a hostile request to a sweep server),
-    /// not a workload this exhaustive engine could finish — the adaptive
-    /// search driver on the roadmap is the answer to genuinely huge
-    /// spaces. Enforced by [`ScenarioBuilder::build`], hence everywhere
-    /// scenarios enter (files, the CLI, `POST /v1/sweeps`).
+    /// not a workload this exhaustive engine could finish. Enforced by
+    /// [`ScenarioBuilder::build`], hence everywhere scenarios enter (files,
+    /// the CLI, `POST /v1/sweeps`) — except scenarios carrying a `search`
+    /// block, which are exempt: the adaptive search driver
+    /// ([`crate::search`]) never materializes the nominal grid.
     pub const MAX_GRID_POINTS: usize = 1 << 22;
 
     /// Starts building a scenario named `name`.
@@ -485,7 +483,7 @@ impl Scenario {
                 link: None,
                 backends: Vec::new(),
                 chunks: 64,
-                tolerance: CrossValidation::DEFAULT_TOLERANCE,
+                tolerance: Session::DEFAULT_TOLERANCE,
                 warm_start: true,
                 search: None,
             },
@@ -1243,9 +1241,8 @@ impl std::fmt::Debug for BackendRegistry {
 /// [`DivergenceReport`] per unordered backend pair, in lexicographic
 /// index order `(0,1), (0,2), …, (1,2), …`.
 ///
-/// `N = 2` carries exactly the legacy two-way report; `N = 3` carries the
-/// legacy `Divergence3Report`'s three pairs in the same order. `N < 2`
-/// has no pairs and is vacuously within tolerance.
+/// `N = 2` carries one report, `N = 3` the pairs (0,1), (0,2), (1,2).
+/// `N < 2` has no pairs and is vacuously within tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DivergenceMatrix {
     /// The backends' display names, in session order.
@@ -1288,13 +1285,7 @@ impl DivergenceMatrix {
     /// The largest relative error across every pair and point (0 with no
     /// pairs; NaN propagates — see [`DivergenceReport::max_rel_error`]).
     pub fn max_rel_error(&self) -> f64 {
-        self.pairs.iter().map(DivergenceReport::max_rel_error).fold(0.0, |a, b| {
-            if b.is_nan() {
-                f64::NAN
-            } else {
-                a.max(b)
-            }
-        })
+        max_or_nan(self.pairs.iter().map(DivergenceReport::max_rel_error))
     }
 
     /// True when every pair is within tolerance with no backend errors
@@ -1854,6 +1845,14 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
+    /// The default pairwise relative-error tolerance, sized for validating
+    /// the analytical model against the 64-chunk event simulator: the
+    /// chunk pipeline's fill/drain bubble costs at most one chunk's serial
+    /// traversal, ≈ `ndims / chunks` of the bottleneck time — ≤ 6.25 % for
+    /// the paper's ≤ 4-dim fabrics at 64 chunks — plus slack for
+    /// picosecond rounding and FIFO scheduling gaps.
+    pub const DEFAULT_TOLERANCE: f64 = 0.10;
+
     /// A session over a fresh default engine pricing with `cost_model`.
     pub fn new(cost_model: &'a CostModel) -> Self {
         Session::from_engine(SweepEngine::new(cost_model))
@@ -1864,7 +1863,7 @@ impl<'a> Session<'a> {
     pub fn from_engine(engine: SweepEngine<'a>) -> Self {
         Session {
             engine: EngineHandle::Owned(engine),
-            tolerance: CrossValidation::DEFAULT_TOLERANCE,
+            tolerance: Session::DEFAULT_TOLERANCE,
             mode: ExecMode::Parallel,
         }
     }
@@ -1874,13 +1873,13 @@ impl<'a> Session<'a> {
     pub fn over(engine: &'a SweepEngine<'a>) -> Self {
         Session {
             engine: EngineHandle::Borrowed(engine),
-            tolerance: CrossValidation::DEFAULT_TOLERANCE,
+            tolerance: Session::DEFAULT_TOLERANCE,
             mode: ExecMode::Parallel,
         }
     }
 
     /// Overrides the pairwise divergence tolerance
-    /// (default [`CrossValidation::DEFAULT_TOLERANCE`]).
+    /// (default [`Session::DEFAULT_TOLERANCE`]).
     ///
     /// # Panics
     /// Panics if `tolerance` is negative or not finite.
@@ -1993,8 +1992,8 @@ impl<'a> Session<'a> {
     ///   priced, no pairs.
     /// * one backend — plans priced (the times stream to sinks), still no
     ///   pairs.
-    /// * two or more — every unordered pair gets a [`DivergenceReport`],
-    ///   exactly as the legacy two-/three-way entry points produced.
+    /// * two or more — every unordered pair gets a [`DivergenceReport`], in
+    ///   [`DivergenceMatrix::pair_indices`] order.
     pub fn run<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,

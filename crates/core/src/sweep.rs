@@ -25,13 +25,6 @@
 //!   optimum ([`opt::optimize_seeded`]) — phase-barriered so parallel and
 //!   serial runs stay bit-identical ([`SweepEngine::with_warm_start`]).
 //!
-//! The historical fixed-arity entry points (`run`, `run_cross_validated`,
-//! `run_cross_validated3`, and their `_serial` twins) survive as
-//! deprecated shims over the session front door; every one of them
-//! funnels into the same internal [`ExecMode`]-parameterized drive, so
-//! the serial-vs-parallel bit-identity contract is enforced in exactly
-//! one place.
-//!
 //! ```
 //! use libra_core::comm::{Collective, CommModel, GroupSpan};
 //! use libra_core::cost::CostModel;
@@ -74,7 +67,6 @@ use crate::expr::BwExpr;
 use crate::fault::{self, FaultInjector};
 use crate::network::NetworkShape;
 use crate::opt::{self, Constraint, Design, DesignRequest, Objective};
-use crate::scenario::Session;
 use crate::store::{Fingerprint, SharedSolveStore, SolveStore, StoreStats, StoredPoint};
 
 /// One grid point's priced outcome: the design solve plus (when the
@@ -175,7 +167,8 @@ impl FnWorkload {
     }
 
     /// Attaches a communication-plan builder, making the workload eligible
-    /// for cross-validation ([`SweepEngine::run_cross_validated`]).
+    /// for cross-validation ([`crate::scenario::Session::run`] with two or
+    /// more backends).
     #[must_use]
     pub fn with_plan<P>(mut self, plan: P) -> Self
     where
@@ -226,7 +219,8 @@ pub struct SweepGrid {
 pub struct GridPoint {
     /// Index into [`SweepGrid::shapes`].
     pub shape: usize,
-    /// Index into the workload slice passed to [`SweepEngine::run`].
+    /// Index into the workload slice passed to
+    /// [`crate::scenario::Session::run`].
     pub workload: usize,
     /// Total per-NPU bandwidth budget (GB/s).
     pub budget: f64,
@@ -360,7 +354,7 @@ const CACHE_SHARDS: usize = 16;
 ///
 /// Keys are `(shape, workload-name)` — plus budget and objective for
 /// designs — so a cache owned by a [`SweepEngine`] keeps paying off across
-/// repeated `run` calls (e.g. iterative grid refinement). Shards are
+/// repeated runs (e.g. iterative grid refinement). Shards are
 /// `RwLock`s, not mutexes: warm re-runs are hit-dominated, and readers must
 /// not serialize behind each other.
 struct SweepCache {
@@ -682,61 +676,6 @@ impl SweepReport {
     }
 }
 
-/// Configuration of a cross-validated sweep: two [`EvalBackend`]s and the
-/// relative-error tolerance their times must agree within.
-///
-/// By convention `baseline` is the fast model being validated (e.g.
-/// [`crate::eval::Analytical`]) and `reference` the more faithful one (e.g.
-/// `libra-sim`'s `EventSimBackend`), but the divergence metric is
-/// symmetric — see [`crate::eval::rel_error`].
-#[derive(Clone, Copy)]
-pub struct CrossValidation<'b> {
-    baseline: &'b dyn EvalBackend,
-    reference: &'b dyn EvalBackend,
-    tolerance: f64,
-}
-
-impl<'b> CrossValidation<'b> {
-    /// Pairs two backends at [`CrossValidation::DEFAULT_TOLERANCE`].
-    pub fn new(baseline: &'b dyn EvalBackend, reference: &'b dyn EvalBackend) -> Self {
-        CrossValidation { baseline, reference, tolerance: Self::DEFAULT_TOLERANCE }
-    }
-
-    /// The default relative-error tolerance, sized for validating the
-    /// analytical model against the 64-chunk event simulator: the chunk
-    /// pipeline's fill/drain bubble costs at most one chunk's serial
-    /// traversal, ≈ `ndims / chunks` of the bottleneck time — ≤ 6.25 % for
-    /// the paper's ≤ 4-dim fabrics at 64 chunks — plus slack for
-    /// picosecond rounding and FIFO scheduling gaps.
-    pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-    /// Overrides the tolerance (relative error, e.g. `0.05` for 5 %).
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance.is_finite() && tolerance >= 0.0, "tolerance must be ≥ 0");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The configured tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-}
-
-impl std::fmt::Debug for CrossValidation<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrossValidation")
-            .field("baseline", &self.baseline.name())
-            .field("reference", &self.reference.name())
-            .field("tolerance", &self.tolerance)
-            .finish()
-    }
-}
-
 /// Both backends' verdicts on one grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointDivergence {
@@ -770,6 +709,12 @@ impl PointDivergence {
     }
 }
 
+/// The largest of `errors` (0 when empty); a NaN anywhere makes the result
+/// NaN (`f64::max` alone returns the non-NaN argument and drops it).
+pub(crate) fn max_or_nan(errors: impl IntoIterator<Item = f64>) -> f64 {
+    errors.into_iter().fold(0.0, |a, b| if a.is_nan() || b.is_nan() { f64::NAN } else { a.max(b) })
+}
+
 /// The divergence side of a cross-validated sweep: per-point relative
 /// errors between the two backends, in grid-enumeration order.
 #[derive(Debug, Clone, PartialEq)]
@@ -792,17 +737,11 @@ pub struct DivergenceReport {
 
 impl DivergenceReport {
     /// The largest per-point relative error (0 when nothing was compared).
-    /// A NaN error — a backend returned a non-finite time — propagates to
-    /// the result instead of being silently dropped by the max fold, so a
-    /// failing report never summarizes as "0.000%".
+    /// A NaN error — a backend returned a non-finite time — propagates
+    /// instead of being dropped, so a failing report never summarizes as
+    /// "0.000%".
     pub fn max_rel_error(&self) -> f64 {
-        self.points.iter().map(|p| p.rel_error).fold(0.0, |a, b| {
-            if b.is_nan() {
-                f64::NAN
-            } else {
-                a.max(b)
-            }
-        })
+        max_or_nan(self.points.iter().map(|p| p.rel_error))
     }
 
     /// The mean per-point relative error (0 when nothing was compared).
@@ -872,105 +811,9 @@ impl DivergenceReport {
     }
 }
 
-/// A cross-validated sweep's outcome: the normal sweep report plus the
-/// backend-divergence report over the same grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossValidatedReport {
-    /// The design-space results, identical to [`SweepEngine::run`]'s.
-    pub sweep: SweepReport,
-    /// The per-point backend comparison.
-    pub divergence: DivergenceReport,
-}
-
-/// Configuration of a **three-way** cross-validated sweep: three
-/// [`EvalBackend`]s priced per grid point in the same fan-out, compared
-/// pairwise. The canonical triple is Analytical / `EventSimBackend` /
-/// `NetSimBackend` — the closed form, the chunk-level event engine, and
-/// the network-layer α-β engine.
-#[derive(Clone, Copy)]
-pub struct CrossValidation3<'b> {
-    backends: [&'b dyn EvalBackend; 3],
-    tolerance: f64,
-}
-
-impl<'b> CrossValidation3<'b> {
-    /// Triples three backends at [`CrossValidation::DEFAULT_TOLERANCE`].
-    pub fn new(a: &'b dyn EvalBackend, b: &'b dyn EvalBackend, c: &'b dyn EvalBackend) -> Self {
-        CrossValidation3 { backends: [a, b, c], tolerance: CrossValidation::DEFAULT_TOLERANCE }
-    }
-
-    /// Overrides the tolerance every pair is judged against.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance.is_finite() && tolerance >= 0.0, "tolerance must be ≥ 0");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The configured tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-}
-
-impl std::fmt::Debug for CrossValidation3<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrossValidation3")
-            .field("backends", &self.backends.map(|b| b.name().to_string()))
-            .field("tolerance", &self.tolerance)
-            .finish()
-    }
-}
-
-/// The combined divergence side of a three-way cross-validated sweep: one
-/// [`DivergenceReport`] per backend pair, in the order (a, b), (a, c),
-/// (b, c) of the [`CrossValidation3`] constructor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Divergence3Report {
-    /// Pairwise reports: `[a vs b, a vs c, b vs c]`.
-    pub pairs: Vec<DivergenceReport>,
-}
-
-impl Divergence3Report {
-    /// The pairwise report whose backends carry the two display names (in
-    /// either order), if present.
-    pub fn pair(&self, a: &str, b: &str) -> Option<&DivergenceReport> {
-        self.pairs.iter().find(|p| {
-            (p.baseline == a && p.reference == b) || (p.baseline == b && p.reference == a)
-        })
-    }
-
-    /// The largest relative error across every pair and point.
-    pub fn max_rel_error(&self) -> f64 {
-        self.pairs.iter().map(DivergenceReport::max_rel_error).fold(0.0, f64::max)
-    }
-
-    /// True when every pair is within tolerance with no backend errors.
-    pub fn within_tolerance(&self) -> bool {
-        self.pairs.iter().all(DivergenceReport::within_tolerance)
-    }
-
-    /// One line per pair.
-    pub fn summary(&self) -> String {
-        self.pairs.iter().map(DivergenceReport::summary).collect::<Vec<_>>().join("\n")
-    }
-}
-
-/// A three-way cross-validated sweep's outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossValidated3Report {
-    /// The design-space results, identical to [`SweepEngine::run`]'s.
-    pub sweep: SweepReport,
-    /// The pairwise backend comparisons.
-    pub divergence: Divergence3Report,
-}
-
 /// The sweep engine: a cost model, optional extra designer constraints, and
 /// a concurrent memo cache (plus warm-start seed index) that persists
-/// across `run` calls.
+/// across runs.
 pub struct SweepEngine<'a> {
     cost_model: &'a CostModel,
     extra_constraints: Vec<Constraint>,
@@ -1112,10 +955,11 @@ impl<'a> SweepEngine<'a> {
 
     /// Drives `f` over the contiguous index `range` of grid points (the
     /// full range for ordinary runs), parallel or serial, returning
-    /// results in grid-enumeration order. **Every** public run path —
-    /// session or legacy shim, plain or cross-validated — funnels through
-    /// this one function, so the serial-vs-parallel bit-identity contract
-    /// is enforced in exactly one place.
+    /// results in grid-enumeration order. `f` and `prepare` receive each
+    /// point's global grid index alongside the point. **Every** run path —
+    /// plain or cross-validated, full or sharded — funnels through this
+    /// one function, so the serial-vs-parallel bit-identity contract is
+    /// enforced in exactly one place.
     ///
     /// With warm-start enabled the points are processed in two
     /// barrier-separated phases (anchors first — the grid's first budget —
@@ -1132,7 +976,8 @@ impl<'a> SweepEngine<'a> {
     /// (its shape × workload × objective at the grid's first budget) may
     /// fall outside the range. Those out-of-range anchors are handed to
     /// `prepare` in phase 1 — the caller solves them for their published
-    /// seed and discards the result — so every seed an in-range solve
+    /// seed and discards the result, taking the same fault decisions the
+    /// full run takes at that index — so every seed an in-range solve
     /// consumes is exactly the seed the full run would have published.
     fn drive_range<T: Send>(
         &self,
@@ -1140,13 +985,13 @@ impl<'a> SweepEngine<'a> {
         points: &[GridPoint],
         range: std::ops::Range<usize>,
         exec: ExecMode,
-        f: impl Fn(GridPoint, SeedMode) -> T + Sync,
-        prepare: impl Fn(GridPoint) + Sync,
+        f: impl Fn(usize, GridPoint, SeedMode) -> T + Sync,
+        prepare: impl Fn(usize, GridPoint) + Sync,
     ) -> Vec<T> {
         let apply = |idx: &[usize], mode: SeedMode| -> Vec<(usize, T)> {
             match exec {
-                ExecMode::Parallel => idx.par_iter().map(|&i| (i, f(points[i], mode))).collect(),
-                ExecMode::Serial => idx.iter().map(|&i| (i, f(points[i], mode))).collect(),
+                ExecMode::Parallel => idx.par_iter().map(|&i| (i, f(i, points[i], mode))).collect(),
+                ExecMode::Serial => idx.iter().map(|&i| (i, f(i, points[i], mode))).collect(),
             }
         };
         if !self.warm_start {
@@ -1173,8 +1018,8 @@ impl<'a> SweepEngine<'a> {
         out.resize_with(range.len(), || None);
         // Phase 1: anchors (in-range kept, out-of-range seed-only)...
         match exec {
-            ExecMode::Parallel => extra.par_iter().for_each(|&i| prepare(points[i])),
-            ExecMode::Serial => extra.iter().for_each(|&i| prepare(points[i])),
+            ExecMode::Parallel => extra.par_iter().for_each(|&i| prepare(i, points[i])),
+            ExecMode::Serial => extra.iter().for_each(|&i| prepare(i, points[i])),
         }
         for (idx, mode) in [(&anchors, SeedMode::Anchor), (&rest, SeedMode::Seeded)] {
             // ...then the barrier, then phase 2: everything else, seeded.
@@ -1261,54 +1106,21 @@ impl<'a> SweepEngine<'a> {
         })
     }
 
-    fn report(
-        &self,
-        outcomes: impl IntoIterator<Item = Result<SweepResult, SweepError>>,
-    ) -> SweepReport {
-        let mut results = Vec::new();
-        let mut errors = Vec::new();
-        for o in outcomes {
-            match o {
-                Ok(r) => results.push(r),
-                Err(e) => errors.push(e),
-            }
-        }
-        SweepReport { results, errors, cache: self.cache.stats() }
-    }
-
-    /// Evaluates one grid point and, when its workload exposes a
-    /// [`CommPlan`], prices that plan **once under each backend** at the
-    /// optimized design's bandwidth vector — the shared body of every
-    /// priced sweep (the session front door and each legacy shim), so
-    /// warm-start seeding and op-eligibility rules live in exactly one
-    /// place. An empty backend slice skips pricing entirely (a plain
-    /// sweep never touches the plan cache).
-    /// Global grid-enumeration index of `point` (shape-major:
-    /// shape → workload → budget → objective), the instance key for
-    /// per-point fault decisions. Off the hot path: called only with an
-    /// armed injector.
-    fn grid_index_of<W: SweepWorkload>(grid: &SweepGrid, workloads: &[W], point: GridPoint) -> u64 {
-        let n_obj = grid.objectives().len().max(1);
-        let n_bud = grid.budgets().len().max(1);
-        let b =
-            grid.budgets().iter().position(|x| x.to_bits() == point.budget.to_bits()).unwrap_or(0);
-        let o = grid.objectives().iter().position(|&x| x == point.objective).unwrap_or(0);
-        (((point.shape * workloads.len().max(1) + point.workload) * n_bud + b) * n_obj + o) as u64
-    }
-
-    /// Runs the armed per-point fault sites for `point`: a slow solve
-    /// sleeps here, a panic site panics (isolated by the per-point
-    /// `catch_unwind` in [`SweepEngine::run_priced`]'s drive), and an
-    /// error site returns the injected [`SweepError`] the caller turns
-    /// into a poisoned record. `None` on the release path.
+    /// Runs the armed per-point fault sites for `point` at global grid
+    /// index `index` (the instance key of every per-point decision): a
+    /// slow solve sleeps here, a panic site panics (isolated by the
+    /// per-point `catch_unwind` in [`SweepEngine::run_priced`]'s drive),
+    /// and an error site returns the injected [`SweepError`] the caller
+    /// turns into a poisoned record. `None` on the release path.
     fn injected_point_fault<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        index: usize,
         point: GridPoint,
     ) -> Option<SweepError> {
         let injector = self.fault.as_ref()?;
-        let index = Self::grid_index_of(grid, workloads, point);
+        let index = index as u64;
         if injector.fires(fault::SWEEP_POINT_SLOW, index) {
             std::thread::sleep(std::time::Duration::from_millis(
                 injector.millis(fault::SWEEP_POINT_SLOW),
@@ -1353,15 +1165,23 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
+    /// Evaluates the grid point at global index `index` and, when its
+    /// workload exposes a [`CommPlan`], prices that plan **once under each
+    /// backend** at the optimized design's bandwidth vector — the shared
+    /// body of every priced sweep, so fault decisions, warm-start seeding
+    /// and op-eligibility rules live in exactly one place. An empty
+    /// backend slice skips pricing entirely (a plain sweep never touches
+    /// the plan cache).
     fn eval_priced<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
         workloads: &[W],
+        index: usize,
         point: GridPoint,
         backends: &[&dyn EvalBackend],
         mode: SeedMode,
     ) -> PricedOutcome {
-        if let Some(error) = self.injected_point_fault(grid, workloads, point) {
+        if let Some(error) = self.injected_point_fault(grid, workloads, index, point) {
             return (Err(error), None);
         }
         let outcome = self.eval(grid, workloads, point, mode);
@@ -1398,7 +1218,7 @@ impl<'a> SweepEngine<'a> {
     /// `index_base` is the global grid index of `points[0]` — non-zero for
     /// range-restricted (shard) runs, whose emitted indices must stay
     /// global so shard streams merge back into one grid.
-    #[allow(clippy::too_many_arguments)] // internal fold plumbing shared by every priced driver
+    #[allow(clippy::too_many_arguments)] // internal fold plumbing of `run_priced`
     fn fold_pairwise<W: SweepWorkload>(
         &self,
         grid: &SweepGrid,
@@ -1422,7 +1242,7 @@ impl<'a> SweepEngine<'a> {
                 backend_errors: Vec::new(),
             })
             .collect();
-        let mut sweep_outcomes = Vec::with_capacity(outcomes.len());
+        let (mut results, mut errors) = (Vec::new(), Vec::new());
         for (idx, (&point, (o, priced))) in points.iter().zip(outcomes).enumerate() {
             emit(index_base + idx, &o, priced.as_ref());
             match priced {
@@ -1454,13 +1274,16 @@ impl<'a> SweepEngine<'a> {
                 }
                 None => {}
             }
-            sweep_outcomes.push(o);
+            match o {
+                Ok(r) => results.push(r),
+                Err(e) => errors.push(e),
+            }
         }
-        (self.report(sweep_outcomes), pairs)
+        (SweepReport { results, errors, cache: self.cache.stats() }, pairs)
     }
 
-    /// Runs an `N`-backend priced sweep: the single driver behind
-    /// [`crate::scenario::Session::run`] and every legacy entry point.
+    /// Runs an `N`-backend priced sweep: the single driver behind every
+    /// [`crate::scenario::Session`] run.
     /// `range` restricts the run to a contiguous slice of the grid's
     /// enumeration (callers validate bounds); the emitted indices and the
     /// warm-start seeds stay exactly what the full run would produce, so
@@ -1509,18 +1332,20 @@ impl<'a> SweepEngine<'a> {
             &points,
             range.clone(),
             exec,
-            |p, m| {
-                catch_unwind(AssertUnwindSafe(|| self.eval_priced(grid, workloads, p, backends, m)))
-                    .unwrap_or_else(|payload| {
-                        (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
-                    })
+            |i, p, m| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    self.eval_priced(grid, workloads, i, p, backends, m)
+                }))
+                .unwrap_or_else(|payload| {
+                    (Err(Self::panic_to_error(grid, workloads, p, payload.as_ref())), None)
+                })
             },
-            |p| {
-                // A panicking out-of-range anchor pre-solve only costs
-                // its group the warm-start seed; in-range points still
-                // solve (cold) and record their own outcomes.
+            |i, p| {
+                // Out-of-range anchor pre-solve with the full run's fault
+                // decisions: a poisoned anchor publishes no seed in
+                // either run, so its group solves cold in both.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = self.eval(grid, workloads, p, SeedMode::Anchor);
+                    self.eval_priced(grid, workloads, i, p, &[], SeedMode::Anchor)
                 }));
             },
         );
@@ -1553,110 +1378,6 @@ impl<'a> SweepEngine<'a> {
             emit,
         )
     }
-
-    /// Evaluates the whole grid **in parallel** (rayon). Results are in
-    /// grid-enumeration order and bit-identical to
-    /// [`SweepEngine::run_serial`] on the same inputs.
-    #[deprecated(
-        note = "use the scenario front door: `scenario::Session::run(grid, workloads, &[])`"
-    )]
-    pub fn run<W: SweepWorkload>(&self, grid: &SweepGrid, workloads: &[W]) -> SweepReport {
-        Session::over(self).run(grid, workloads, &[]).sweep
-    }
-
-    /// Evaluates the whole grid serially (the reference fold for the
-    /// determinism contract; also useful under an external thread pool).
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_serial<W: SweepWorkload>(&self, grid: &SweepGrid, workloads: &[W]) -> SweepReport {
-        Session::over(self).with_mode(ExecMode::Serial).run(grid, workloads, &[]).sweep
-    }
-
-    /// Evaluates the whole grid **in parallel** with both of `cv`'s
-    /// backends priced per point in the same rayon fan-out.
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run(grid, workloads, &[baseline, reference])`")]
-    pub fn run_cross_validated<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-    ) -> CrossValidatedReport {
-        self.cross_validated(grid, workloads, cv, ExecMode::Parallel)
-    }
-
-    /// Serial reference fold of [`SweepEngine::run_cross_validated`].
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_cross_validated_serial<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-    ) -> CrossValidatedReport {
-        self.cross_validated(grid, workloads, cv, ExecMode::Serial)
-    }
-
-    fn cross_validated<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation<'_>,
-        exec: ExecMode,
-    ) -> CrossValidatedReport {
-        let mut report = Session::over(self).with_tolerance(cv.tolerance()).with_mode(exec).run(
-            grid,
-            workloads,
-            &[cv.baseline, cv.reference],
-        );
-        let divergence =
-            report.divergence.pairs.pop().expect("two backends produce exactly one pair");
-        CrossValidatedReport { sweep: report.sweep, divergence }
-    }
-
-    /// Evaluates the whole grid **in parallel** with all three of `cv`'s
-    /// backends priced per point in the same rayon fan-out, one
-    /// [`DivergenceReport`] per backend pair.
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run(grid, workloads, &[a, b, c])`")]
-    pub fn run_cross_validated3<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-    ) -> CrossValidated3Report {
-        self.cross_validated3(grid, workloads, cv, ExecMode::Parallel)
-    }
-
-    /// Serial reference fold of [`SweepEngine::run_cross_validated3`].
-    #[deprecated(note = "use the scenario front door: \
-                `scenario::Session::run` with `ExecMode::Serial`")]
-    pub fn run_cross_validated3_serial<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-    ) -> CrossValidated3Report {
-        self.cross_validated3(grid, workloads, cv, ExecMode::Serial)
-    }
-
-    fn cross_validated3<W: SweepWorkload>(
-        &self,
-        grid: &SweepGrid,
-        workloads: &[W],
-        cv: &CrossValidation3<'_>,
-        exec: ExecMode,
-    ) -> CrossValidated3Report {
-        let report = Session::over(self).with_tolerance(cv.tolerance()).with_mode(exec).run(
-            grid,
-            workloads,
-            &cv.backends,
-        );
-        CrossValidated3Report {
-            sweep: report.sweep,
-            divergence: Divergence3Report { pairs: report.divergence.pairs },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1664,6 +1385,7 @@ mod tests {
     use super::*;
     use crate::comm::{Collective, CommModel, GroupSpan};
     use crate::eval::{Analytical, ScaledBackend};
+    use crate::scenario::Session;
     use crate::workload::CommOp;
 
     fn allreduce_workload(name: &str, gb: f64) -> FnWorkload {
@@ -1902,6 +1624,14 @@ mod tests {
         assert_eq!(d.worst(2).len(), 2);
         assert!(d.worst(1)[0].rel_error >= d.worst(2)[1].rel_error);
         assert!(d.summary().contains("worst cell"));
+    }
+
+    #[test]
+    fn max_or_nan_keeps_a_nan_followed_by_finite_errors() {
+        assert!(max_or_nan([f64::NAN, 0.1]).is_nan());
+        assert!(max_or_nan([0.1, f64::NAN, 0.2]).is_nan());
+        assert_eq!(max_or_nan([0.1, 0.3, 0.2]), 0.3);
+        assert_eq!(max_or_nan([]), 0.0);
     }
 
     /// A backend producing NaN times must yield a *diagnosable* failing

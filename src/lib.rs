@@ -61,8 +61,7 @@ pub use libra_workloads as workloads;
 // The pluggable-evaluation surface, flattened for convenience: the
 // backend-neutral plan IR, the network-layer side channel, and the
 // analytical backend (from `libra-core`); the event-driven backend (from
-// `libra-sim`); the α-β network-layer backend (from `libra-net`); and the
-// legacy two-/three-way cross-validation report types. See
+// `libra-sim`); and the α-β network-layer backend (from `libra-net`). See
 // `examples/design_space_sweep.rs` for the full loop.
 pub use libra_core::eval::{
     Analytical, CommPhase, CommPlan, DimTopology, EvalBackend, LinkParams, NetSpec, ScaledBackend,
@@ -84,12 +83,10 @@ pub use libra_core::store::{Fingerprint, SolveStore, StoreStats, StoredPoint};
 // Adaptive search: the Pareto-guided successive-refinement driver for
 // design spaces too large to sweep exhaustively.
 pub use libra_core::search::{Cosearch, RoundTrace, SearchConfig, SearchReport};
-// The sweep substrate: grid, engine, reports, and the deprecated
-// fixed-arity cross-validation entry points' config/report types.
+// The sweep substrate: grid, engine and reports.
 pub use libra_core::sweep::{
-    CacheStats, CrossValidated3Report, CrossValidatedReport, CrossValidation, CrossValidation3,
-    Divergence3Report, DivergenceReport, ExecMode, FnWorkload, GridPoint, RankBy, SweepEngine,
-    SweepError, SweepGrid, SweepReport, SweepResult, SweepWorkload,
+    CacheStats, DivergenceReport, ExecMode, FnWorkload, GridPoint, RankBy, SweepEngine, SweepError,
+    SweepGrid, SweepReport, SweepResult, SweepWorkload,
 };
 // The sweep service, flattened: embed a server (`Server::start`) or
 // talk to one (`ServiceClient`) — the `libra serve`/`libra submit`

@@ -1,16 +1,17 @@
 //! Integration tests of the scenario front door: the N-way `Session`
-//! matches the legacy fixed-arity entry points bit-for-bit, the backend
-//! registry fails loudly and rejects shadowing, streaming sinks
-//! round-trip a real 40-point cross-validated run, and the committed
-//! scenario files parse and reproduce the design-space numbers.
+//! prices real Table II workloads under the analytical, event-sim and
+//! net-sim backends within tolerance, the backend registry fails loudly
+//! and rejects shadowing, streaming sinks round-trip a real 40-point
+//! cross-validated run, and the committed scenario files parse and
+//! reproduce the design-space numbers.
 
 use libra::core::cost::CostModel;
 use libra::core::opt::Objective;
 use libra::core::presets;
 use libra::{
     default_registry, records_from_jsonl, Analytical, BackendConfig, CollectorSink,
-    CrossValidation, CrossValidation3, DivergenceMatrix, EvalBackend, ExecMode, JsonLinesSink,
-    ScaledBackend, Scenario, Session, SweepEngine, SweepGrid,
+    DivergenceMatrix, EvalBackend, JsonLinesSink, ScaledBackend, Scenario, Session, SweepEngine,
+    SweepGrid,
 };
 use libra_bench::{scenario_workloads, sweep_workloads};
 use libra_workloads::zoo::PaperModel;
@@ -23,57 +24,13 @@ fn grid_40() -> SweepGrid {
         .with_objectives([Objective::Perf, Objective::PerfPerCost])
 }
 
-/// Satellite acceptance: the six deprecated `run*` entry points are thin
-/// shims — each must produce output identical (exact `PartialEq`, i.e.
-/// bit-for-bit on every float) to the equivalent `Session::run`.
+/// N = 2 and N = 3 `DivergenceMatrix` output on the seed 40-point grid
+/// (real Table II workloads, real event-sim and net-sim backends): the
+/// two-way run is within the event simulator's agreement bound, pairs
+/// come in lexicographic index order, name lookup is order-insensitive,
+/// and the three-way run's (0, 1) pair is exactly the two-way run's pair.
 #[test]
-#[allow(deprecated)]
-fn legacy_entry_points_delegate_to_the_session() {
-    let grid = SweepGrid::new()
-        .with_shapes([presets::topo_3d_512()])
-        .with_budgets([100.0, 500.0])
-        .with_objectives([Objective::Perf, Objective::PerfPerCost]);
-    let wls = sweep_workloads(&[PaperModel::TuringNlg]);
-    let cm = CostModel::default();
-    let analytical = Analytical::new();
-    let skew = ScaledBackend::new(Analytical::new(), 1.01, "skew");
-    let skew2 = ScaledBackend::new(Analytical::new(), 1.02, "skew2");
-
-    // run / run_serial ≡ Session with no backends.
-    let legacy = SweepEngine::new(&cm).run(&grid, &wls);
-    let session = Session::new(&cm).run(&grid, &wls, &[]).sweep;
-    assert_eq!(legacy.results, session.results);
-    assert_eq!(legacy.errors, session.errors);
-    let legacy = SweepEngine::new(&cm).run_serial(&grid, &wls);
-    let session = Session::new(&cm).with_mode(ExecMode::Serial).run(&grid, &wls, &[]).sweep;
-    assert_eq!(legacy.results, session.results);
-
-    // run_cross_validated[_serial] ≡ two-backend Session.
-    let cv = CrossValidation::new(&analytical, &skew).with_tolerance(0.05);
-    let legacy = SweepEngine::new(&cm).run_cross_validated(&grid, &wls, &cv);
-    let session = Session::new(&cm).with_tolerance(0.05).run(&grid, &wls, &[&analytical, &skew]);
-    assert_eq!(legacy.sweep.results, session.sweep.results);
-    assert_eq!(legacy.divergence, session.divergence.pairs[0]);
-    let serial = SweepEngine::new(&cm).run_cross_validated_serial(&grid, &wls, &cv);
-    assert_eq!(serial.divergence, legacy.divergence);
-
-    // run_cross_validated3[_serial] ≡ three-backend Session, same pair order.
-    let cv3 = CrossValidation3::new(&analytical, &skew, &skew2).with_tolerance(0.05);
-    let legacy = SweepEngine::new(&cm).run_cross_validated3(&grid, &wls, &cv3);
-    let session =
-        Session::new(&cm).with_tolerance(0.05).run(&grid, &wls, &[&analytical, &skew, &skew2]);
-    assert_eq!(legacy.sweep.results, session.sweep.results);
-    assert_eq!(legacy.divergence.pairs, session.divergence.pairs);
-    assert_eq!(session.divergence.backends, vec!["analytical", "skew", "skew2"]);
-    let serial = SweepEngine::new(&cm).run_cross_validated3_serial(&grid, &wls, &cv3);
-    assert_eq!(serial.divergence.pairs, legacy.divergence.pairs);
-}
-
-/// Satellite acceptance: N = 2 and N = 3 `DivergenceMatrix` output
-/// matches the legacy report semantics on the seed 40-point grids (real
-/// Table II workloads, real event-sim backend).
-#[test]
-fn divergence_matrix_matches_legacy_reports_on_the_seed_grids() {
+fn divergence_matrix_pairs_the_seed_grid_backends() {
     let grid = grid_40();
     let wls = sweep_workloads(&[PaperModel::TuringNlg, PaperModel::Gpt3]);
     let cm = CostModel::default();
@@ -85,30 +42,20 @@ fn divergence_matrix_matches_legacy_reports_on_the_seed_grids() {
     let engine = SweepEngine::new(&cm);
     let session = Session::over(&engine).with_tolerance(tol);
     let n2 = session.run(&grid, &wls, &[&analytical, &event_sim]);
-    #[allow(deprecated)]
-    let legacy2 = engine.run_cross_validated(
-        &grid,
-        &wls,
-        &CrossValidation::new(&analytical, &event_sim).with_tolerance(tol),
-    );
     assert_eq!(n2.divergence.pairs.len(), 1);
-    assert_eq!(n2.divergence.pairs[0], legacy2.divergence);
+    assert_eq!(n2.divergence.pairs[0].points.len(), grid.len(wls.len()));
     assert!(n2.divergence.within_tolerance(), "{}", n2.divergence.summary());
 
     let net_sim = libra::NetSimBackend::default();
     let n3 = session.run(&grid, &wls, &[&analytical, &event_sim, &net_sim]);
-    #[allow(deprecated)]
-    let legacy3 = engine.run_cross_validated3(
-        &grid,
-        &wls,
-        &CrossValidation3::new(&analytical, &event_sim, &net_sim).with_tolerance(tol),
-    );
-    assert_eq!(n3.divergence.pairs, legacy3.divergence.pairs);
     assert_eq!(DivergenceMatrix::pair_indices(3), vec![(0, 1), (0, 2), (1, 2)]);
-    // The matrix accessors agree with the legacy pair lookup.
-    for (a, b) in [("analytical", "event-sim"), ("analytical", "net-sim")] {
-        assert_eq!(n3.divergence.pair(a, b), legacy3.divergence.pair(a, b));
+    assert_eq!(n3.divergence.pairs.len(), 3);
+    for (a, b) in [("analytical", "event-sim"), ("analytical", "net-sim"), ("event-sim", "net-sim")]
+    {
+        let pair = n3.divergence.pair(a, b).expect("every backend pair is reported");
+        assert_eq!(n3.divergence.pair(b, a), Some(pair), "lookup must be order-insensitive");
     }
+    assert_eq!(n3.divergence.pair_between(0, 1), Some(&n2.divergence.pairs[0]));
 }
 
 /// Satellite acceptance: the JSON-lines sink round-trips a 40-point

@@ -1,13 +1,18 @@
 //! Determinism contract of the sweep engine: the rayon-parallel run returns
 //! **bit-identical** results to a serial fold over the same grid, point for
-//! point, on a ≥ 50-point grid evaluated with ≥ 4 worker threads.
+//! point, on a ≥ 50-point grid evaluated with ≥ 4 worker threads; and a
+//! shard of the grid takes the full run's fault decisions.
 
 use libra::core::comm::{Collective, CommModel, GroupSpan};
 use libra::core::cost::CostModel;
+use libra::core::fault::FaultInjector;
 use libra::core::network::NetworkShape;
 use libra::core::opt::Objective;
-use libra::core::scenario::Session;
+use libra::core::presets;
+use libra::core::scenario::{CollectorSink, Session};
 use libra::core::sweep::{ExecMode, FnWorkload, SweepEngine, SweepGrid};
+use libra_bench::sweep_workloads;
+use libra_workloads::zoo::PaperModel;
 
 /// Force ≥ 4 workers even on single-core CI runners: the shimmed (and real)
 /// rayon reads this env var at pool construction.
@@ -76,4 +81,28 @@ fn parallel_sweep_is_reproducible_across_runs_and_cache_states() {
     assert_eq!(cold.results, fresh.results);
     // The warm run really did hit the cache rather than re-solving.
     assert!(warm.cache.design_hits >= grid.len(wls.len()));
+}
+
+/// A shard pre-solves its out-of-range group anchor for the warm-start
+/// seed. A poisoned anchor publishes no seed in the full run, so the
+/// shard must publish none either (GPT-3's warm and cold solves differ in
+/// their low bits, so a wrongly published seed shows in the rows).
+#[test]
+fn shard_runs_take_the_full_runs_fault_decisions() {
+    let grid = SweepGrid::new()
+        .with_shape(presets::topo_3d_512())
+        .with_budgets([100.0, 300.0, 500.0, 700.0])
+        .with_objectives([Objective::Perf]);
+    let wls = sweep_workloads(&[PaperModel::Gpt3]);
+    let cm = CostModel::default();
+    for spec in ["sweep.point.error=#1", "sweep.point.panic=#1"] {
+        let session =
+            || Session::new(&cm).with_fault(FaultInjector::from_spec(spec).unwrap()).unwrap();
+        let mut full = CollectorSink::new();
+        let report = session().run_with_sinks(&grid, &wls, &[], &mut [&mut full]);
+        assert_eq!(report.sweep.errors.len(), 1, "{spec} poisons the anchor only");
+        let mut shard = CollectorSink::new();
+        session().run_range_with_sinks(&grid, &wls, &[], 1..4, &mut [&mut shard]).unwrap();
+        assert_eq!(shard.rows, full.rows[1..], "{spec}: shard rows differ from the full run's");
+    }
 }
